@@ -856,8 +856,12 @@ let drain_injector pool w =
    deque. Breaking that caller discipline deadlocks: a task in a parked
    worker's private part is invisible to every thief, and the exposure
    signal thieves would send needs a poll the parked owner never
-   runs. *)
-let park_recheck pool w ~done_ =
+   runs.
+
+   [search_start] is the start stamp of the search this sweep belongs
+   to (-1 when tracing is off), as for [steal_once]: a steal taken here
+   records its steal-latency sample like any other. *)
+let park_recheck pool w ~done_ ~search_start =
   done_ ()
   || Atomic.get pool.stop
   || (match Injector.pop pool.injector with
@@ -890,7 +894,7 @@ let park_recheck pool w ~done_ =
                   if extra > 0 then m.steals_batched <- m.steals_batched + 1;
                   if traced then begin
                     let time = Trace.now tr in
-                    Trace.record_steal_ok tr ~thief:w.id ~victim:v.id ~time ~search_start:(-1);
+                    Trace.record_steal_ok tr ~thief:w.id ~victim:v.id ~time ~search_start;
                     if extra > 0 then
                       Trace.record_steal_batch tr ~thief:w.id ~time ~tasks:(1 + extra)
                   end;
@@ -930,13 +934,19 @@ let park_recheck pool w ~done_ =
    quiescence: every block is followed by exactly one classification —
    [wakes] when the post-wake re-check finds work (or a terminal state:
    the doorbell was rung *for* us), [spurious_wakes] when it finds
-   nothing and the worker re-parks. *)
-let try_park pool w ~done_ =
+   nothing and the worker re-parks.
+
+   [search_start] is the enclosing search's steal-latency stamp (-1
+   when tracing is off). Re-check steals before the first block measure
+   from it; after a wake they measure from the wake, the same re-stamp
+   the callers apply once a park elapsed. *)
+let try_park pool w ~done_ ~search_start =
   if pool.fault_on && fault_poll pool w then false
   else begin
     let tr = pool.trace in
     let traced = Trace.enabled tr in
-    let recheck () = park_recheck pool w ~done_ in
+    let since = ref search_start in
+    let recheck () = park_recheck pool w ~done_ ~search_start:!since in
     let block ~ticket =
       w.metrics.parks <- w.metrics.parks + 1;
       if traced then Trace.record_park tr ~worker:w.id ~time:(Trace.now tr);
@@ -954,7 +964,8 @@ let try_park pool w ~done_ =
              its ring because it saw us here is always covered by one of
              the two. *)
           Atomic.incr pool.searchers;
-          let found = park_recheck pool w ~done_ in
+          if traced && !since >= 0 then since := Trace.now tr;
+          let found = recheck () in
           Atomic.decr pool.searchers;
           if found then begin
             w.metrics.wakes <- w.metrics.wakes + 1;
@@ -981,9 +992,9 @@ let try_park pool w ~done_ =
    every idle worker burning its core (and a fixed wake-up latency)
    forever; a parked worker costs nothing and wakes on the doorbell
    that publishes its next task. Returns [true] iff the worker parked. *)
-let idle_pause pool w ~done_ =
+let idle_pause pool w ~done_ ~search_start =
   if Backoff.saturated w.backoff then begin
-    let parked = try_park pool w ~done_ in
+    let parked = try_park pool w ~done_ ~search_start in
     Backoff.reset w.backoff;
     parked
   end
@@ -1170,7 +1181,7 @@ let help_while pool w done_ =
                 Backoff.reset w.backoff;
                 run_task pool w t
             | None ->
-                if idle_pause pool w ~done_ then
+                if idle_pause pool w ~done_ ~search_start:!search_start then
                   (* A park elapsed: re-stamp so the steal-latency
                      sample measures the post-park search, not the
                      blocked time. *)
@@ -1231,7 +1242,7 @@ let get_task pool w =
                   match steal_once pool w ~search_start with
                   | Some _ as r -> finish r
                   | None ->
-                      if idle_pause pool w ~done_ then
+                      if idle_pause pool w ~done_ ~search_start then
                         loop (if traced then Trace.now tr else -1)
                       else loop search_start)
         in
@@ -1258,9 +1269,14 @@ let helper_body pool w =
      re-reads [serving], so a job started between the two cannot be
      slept through. *)
   let between_jobs_done () = serving pool in
+  let tr = pool.trace in
   while not (Atomic.get pool.stop) do
     work ();
-    if not (Atomic.get pool.stop) then ignore (try_park pool w ~done_:between_jobs_done)
+    if not (Atomic.get pool.stop) then begin
+      (* A steal here starts a search of its own: measure from the park. *)
+      let search_start = if Trace.enabled tr then Trace.now tr else -1 in
+      ignore (try_park pool w ~done_:between_jobs_done ~search_start)
+    end
   done
 
 (* Ambient [Suspend]: park the current fiber. From a worker at scheduler
@@ -1971,7 +1987,7 @@ let join_frame_stolen pool w fr : Obj.t =
             | None ->
                 (* [exec_frame]'s completion doorbell (ring-all) ends
                    this park; re-stamp the steal sample after one. *)
-                if idle_pause pool w ~done_ then
+                if idle_pause pool w ~done_ ~search_start:!search_start then
                   if traced && !search_start >= 0 then search_start := Trace.now tr
         end
   done;

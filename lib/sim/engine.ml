@@ -60,7 +60,7 @@ type frame = Fdo of Comp.t | Fseq of Comp.t list | Fjoin of cell | Fend of cell
 type worker = {
   id : int;
   mutable time : int;
-  dq : task Pdq.t;
+  mutable dq : task Pdq.t;  (** replaced by a twice-as-large copy when full *)
   mutable public_count : int;  (** topmost tasks visible to thieves *)
   mutable stack : frame list;
   mutable targeted : bool;
@@ -224,7 +224,31 @@ let switch_policy sim target =
 
 (* --- deque operations with cost accounting --------------------------- *)
 
+(* Worker deques start small and double when a push finds them full;
+   they rarely hold more than a few dozen tasks. Four slots is fewer
+   than the 7 extras of one [steal_batch:8] episode (the runtime pool's
+   default batch), so batched steals take the growth path too, not only
+   deep fork chains. *)
+let initial_deque_capacity = 4
+
+let new_deque capacity = Pdq.create ~capacity ~dummy:dummy_task ()
+
+(* Move the tasks over top to bottom, so their order — and with it the
+   simulated schedule — is unchanged. *)
+let grow_deque w =
+  let dq = new_deque (2 * Pdq.capacity w.dq) in
+  let rec move () =
+    match Pdq.pop_top w.dq with
+    | Some t ->
+        Pdq.push_bottom dq t;
+        move ()
+    | None -> ()
+  in
+  move ();
+  w.dq <- dq
+
 let push_task sim w task =
+  if Pdq.size w.dq >= Pdq.capacity w.dq then grow_deque w;
   Pdq.push_bottom w.dq task;
   (* The own deque is non-empty again: the next work search must probe it. *)
   w.hunting <- false;
@@ -579,7 +603,7 @@ let run ~machine ~policy ~p ?(seed = 7L) ?(quantum = 200) ?(trace = Trace.null)
         {
           id;
           time = 0;
-          dq = Pdq.create ~capacity:(1 lsl 16) ~dummy:dummy_task ();
+          dq = new_deque initial_deque_capacity;
           public_count = 0;
           stack = [];
           targeted = false;

@@ -3,9 +3,12 @@
 
     Each of [p] virtual workers owns a deque and a local clock; the
     engine always advances the worker with the smallest clock, so runs
-    are deterministic given the seed. Scheduling behaviour — work-first
-    forks, helping joins, split-deque exposure, targeted flags, signal
-    latency — mirrors {!Lcws_sched.Scheduler} exactly; every
+    are deterministic given the seed. Worker deques start small and
+    double when a push finds them full, so a run is never limited by
+    deque depth and never raises {!Lcws_deque.Deque_intf.Deque_full}.
+    Scheduling behaviour — work-first forks, helping joins, split-deque
+    exposure, targeted flags, signal latency — mirrors
+    {!Lcws_sched.Scheduler} exactly; every
     synchronization operation advances the acting worker's clock by its
     cost in the {!Cost_model}. Speedups for Figures 4–7 are ratios of
     [makespan]s. *)

@@ -11,9 +11,12 @@ let policy_of_string = function
 
 let all_policies = [ Uniform; Near_first ]
 
+(* Row [self] of [flat nw]. *)
+let flat_row nw self = Array.init nw (fun j -> if j = self then 0 else 1)
+
 let flat nw =
   if nw < 1 then invalid_arg "Victim_policy.flat";
-  Array.init nw (fun i -> Array.init nw (fun j -> if i = j then 0 else 1))
+  Array.init nw (flat_row nw)
 
 let clustered ?(far = 4) ~cluster nw =
   if nw < 1 || cluster < 1 then invalid_arg "Victim_policy.clustered";
@@ -58,14 +61,13 @@ type t = {
 let create ?topology ?(escalate_after = 4) ~policy ~rng ~self ~nw () =
   if nw < 1 || self < 0 || self >= nw then invalid_arg "Victim_policy.create";
   if escalate_after < 1 then invalid_arg "Victim_policy.create: escalate_after must be >= 1";
-  let topo =
+  let dist =
     match topology with
     | Some topo ->
         check_topology topo ~nw;
-        topo
-    | None -> flat nw
+        Array.copy topo.(self)
+    | None -> flat_row nw self
   in
-  let dist = Array.copy topo.(self) in
   let order = Array.init (max 0 (nw - 1)) (fun i -> if i < self then i else i + 1) in
   (* Insertion sort by (distance, id): [nw] is small and this runs once
      per worker at pool creation. *)

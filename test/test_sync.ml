@@ -1,5 +1,5 @@
 (* Unit + property tests for the runtime-support substrate:
-   Metrics, Xoshiro, Backoff, Fastmath. *)
+   Metrics, Xoshiro, Victim_policy, Backoff, Fastmath. *)
 
 open Lcws
 
@@ -100,6 +100,43 @@ let test_xoshiro_float_range () =
     Alcotest.(check bool) "in [0,1)" true (f >= 0. && f < 1.)
   done
 
+(* --- Victim_policy --------------------------------------------------- *)
+
+module Vp = Lcws_sync.Victim_policy
+
+(* [create] without [?topology] builds the worker's own row of
+   [flat nw] directly; it must behave exactly like passing [flat nw]:
+   same distances, same near set, same probe stream through failures
+   (Near_first escalation) and successes (affinity re-probes). *)
+let test_victim_default_is_flat () =
+  List.iter
+    (fun nw ->
+      for self = 0 to nw - 1 do
+        List.iter
+          (fun policy ->
+            let make topology =
+              Vp.create ?topology ~policy ~rng:(Xoshiro.create (Int64.of_int (nw + self))) ~self
+                ~nw ()
+            in
+            let d = make None and f = make (Some (Vp.flat nw)) in
+            let what = Printf.sprintf "%s nw=%d self=%d" (Vp.policy_name policy) nw self in
+            for victim = 0 to nw - 1 do
+              check Alcotest.int (what ^ ": distance") (Vp.distance f ~victim)
+                (Vp.distance d ~victim);
+              check Alcotest.bool (what ^ ": is_near") (Vp.is_near f ~victim)
+                (Vp.is_near d ~victim)
+            done;
+            if nw >= 2 then
+              for i = 0 to 199 do
+                let vf = Vp.next f and vd = Vp.next d in
+                check Alcotest.int (Printf.sprintf "%s: probe %d" what i) vf vd;
+                if i mod 7 = 6 then (Vp.success f ~victim:vf; Vp.success d ~victim:vd)
+                else (Vp.fail f; Vp.fail d)
+              done)
+          Vp.all_policies
+      done)
+    [ 1; 2; 3; 8; 33 ]
+
 (* --- Backoff --------------------------------------------------------- *)
 
 let test_backoff_basic () =
@@ -197,6 +234,7 @@ let () =
           prop_xoshiro_int_bounds;
           prop_xoshiro_other_than;
         ] );
+      ("victim_policy", [ Alcotest.test_case "default = flat" `Quick test_victim_default_is_flat ]);
       ( "backoff",
         [
           Alcotest.test_case "basic" `Quick test_backoff_basic;

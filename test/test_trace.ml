@@ -373,6 +373,24 @@ let scheduler_traced variant () =
   if H.count l.Trace.steal > 0 && H.min_value l.Trace.steal < 0 then
     Alcotest.fail "negative steal latency"
 
+(* Steals taken by the park re-check sweep record a latency sample too.
+   A fault plan that vetoes every [steal_once] probe leaves the sweep
+   (which skips the veto) as the helper's only way to steal, so every
+   [Steal_ok] must come with a steal-latency sample. *)
+let park_steals_have_latency variant () =
+  let trace = Trace.create ~capacity:4096 ~num_workers:2 () in
+  let fault = { Fault.no_faults with Fault.seed = 5L; steal_fail_prob = 1.0 } in
+  let pool = Scheduler.Pool.create ~num_workers:2 ~variant ~trace ~fault () in
+  for _ = 1 to 5 do
+    Alcotest.(check int) "fib value" 6765 (Scheduler.Pool.run pool (fun () -> fib 20))
+  done;
+  Scheduler.Pool.shutdown pool;
+  let m = Scheduler.Pool.metrics pool in
+  let steal_ok = List.assoc Trace.Steal_ok (Trace.counts trace) in
+  Alcotest.(check bool) "probes vetoed" true (m.Metrics.steal_vetoes > 0);
+  Alcotest.(check bool) "re-check stole" true (steal_ok > 0);
+  Alcotest.(check int) "every steal timed" steal_ok (H.count (Trace.latencies trace).Trace.steal)
+
 let pool_rejects_small_trace () =
   let trace = Trace.create ~capacity:64 ~num_workers:1 () in
   Alcotest.check_raises "trace too small"
@@ -479,6 +497,10 @@ let () =
           Alcotest.test_case "ws traced" `Quick (scheduler_traced Scheduler.Ws);
           Alcotest.test_case "signal traced" `Quick (scheduler_traced Scheduler.Signal);
           Alcotest.test_case "half traced" `Quick (scheduler_traced Scheduler.Half);
+          Alcotest.test_case "park re-check steals timed (ws)" `Quick
+            (park_steals_have_latency Scheduler.Ws);
+          Alcotest.test_case "park re-check steals timed (signal)" `Quick
+            (park_steals_have_latency Scheduler.Signal);
           Alcotest.test_case "trace size validated" `Quick pool_rejects_small_trace;
           Alcotest.test_case "simulator traced" `Quick sim_traced;
         ] );

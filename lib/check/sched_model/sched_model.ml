@@ -76,7 +76,7 @@ let frames_in_use w = w.frame_top
    push the preallocated trampoline in place of a per-call closure. *)
 let fork w (g : unit -> Obj.t) =
   let fr = acquire w in
-  P.Frame.set_fn fr g;
+  A.write fr.P.Frame.fn (Obj.repr g);
   Split.push_bottom w.deque fr.P.Frame.task;
   fr
 
@@ -111,7 +111,7 @@ let join ?(polls = 4) w fr =
     match pop_own w with
     | Some t ->
         if t == fr.P.Frame.task then begin
-          match P.Frame.fn fr () with
+          match (Obj.obj (A.read fr.P.Frame.fn) : unit -> Obj.t) () with
           | v ->
               release w fr;
               Value v

@@ -409,7 +409,7 @@ let park_wake ~skip ~name ~expect_violation =
           (* The owner-side ring: one load of the parked count; the
              generation bump (under the dock mutex in the real pool)
              only when somebody announced. *)
-          if P.Park.ring park then P.Park.bump park
+          if SA.get park.P.Park.parked > 0 then P.Park.bump park
         in
         {
           E.threads = [| ("parker", parker); ("publisher", publisher) |];

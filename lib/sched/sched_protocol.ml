@@ -44,6 +44,16 @@ module A = Atomic_shim
       pops the trampoline back by physical identity and runs [fn]
       inline with plain accesses only.
 
+    The owner-only steps on [fn] — install the child before the push,
+    read it back to run it, clear it on release — are each a single
+    [A.write]/[A.read] on the cell, and the drivers write them as
+    exactly that, with no helper here: [A]'s accessors are [external],
+    so they inline at the call site even when this module is compiled
+    [-opaque], where a helper function would cost the fork path a call.
+    [fn] holds the child itself, any [unit -> 'b] stored with
+    [Obj.repr] and run at [unit -> Obj.t] — [Obj.repr] is the identity,
+    so its result arrives as the [Obj.t] the owner re-types.
+
     [task] is the preallocated trampoline the scheduler pushes in place
     of a per-call closure; it is scheduler wiring, not protocol state,
     and parametrized so the model scheduler can use its own task
@@ -58,7 +68,7 @@ module Frame = struct
   type 'task t = {
     state : int A.t; (* pending / done_ / exn_; padded, SC *)
     result : Obj.t A.plain; (* child outcome; valid once [state] flips *)
-    fn : Obj.t A.plain; (* the (unit -> Obj.t) child of the current use *)
+    fn : Obj.t A.plain; (* the child of the current use, run at unit -> Obj.t *)
     mutable task : 'task; (* preallocated trampoline for this frame *)
   }
 
@@ -78,11 +88,6 @@ module Frame = struct
       fn = A.plain ~name:(cell "fn") unit_obj;
       task;
     }
-
-  (** Owner, before pushing the trampoline: install this use's child. *)
-  let set_fn fr (f : unit -> Obj.t) = A.write fr.fn (Obj.repr f)
-
-  let fn fr : unit -> Obj.t = Obj.obj (A.read fr.fn)
 
   let publish_value_with m fr v =
     if m.early_flip then begin
@@ -112,7 +117,7 @@ module Frame = struct
       result or exception — through the flag, so a failing child still
       completes its frame and the owner's join can never hang. *)
   let publish_with m fr =
-    match fn fr () with
+    match (Obj.obj (A.read fr.fn) : unit -> Obj.t) () with
     | v -> publish_value_with m fr v
     | exception e -> publish_exn_with m fr e
 
@@ -128,12 +133,6 @@ module Frame = struct
     let r = A.read fr.result in
     ignore (A.exchange fr.state pending);
     if st = exn_ then Error (Obj.obj r : exn) else Ok r
-
-  (** Owner, on release: drop the use's references so a pooled frame
-      does not leak its last child's closure and result. *)
-  let scrub fr =
-    A.write fr.fn unit_obj;
-    A.write fr.result unit_obj
 end
 
 (** {2 Loop scopes}
@@ -374,8 +373,11 @@ end
     - [parked]: how many workers have {e announced} intent to park.
       Incremented before the parker's final work re-check, decremented
       when it leaves the lot (woken or re-check hit). This is the word
-      the producer side loads — once — on every doorbell site; with
-      nobody parked the ring is that single load and nothing else.
+      the producer side loads — once — on every doorbell site, after it
+      has published the work the ring advertises: [parked > 0] means a
+      wake is owed ([bump] plus a dock signal); with nobody parked the
+      ring is that single load and nothing else. Like [Frame.fn], the
+      drivers write that load as a direct [A.get] on the cell.
     - [gen]: the wake generation. A parker captures it as its ticket at
       announce time and blocks only while the generation still equals
       the ticket; a waker advances it (under the dock mutex) to
@@ -446,12 +448,6 @@ module Park = struct
       dock mutex (pass it as [Parking_lot.wake]'s [bump]) so it
       serializes against parkers' predicate checks. *)
   let bump t = cas_add t.gen 1
-
-  (** Producer-side doorbell guard: a single load of the parked count.
-      Returns whether a dock wake is owed; with [parked = 0] this is
-      the whole ring and the fast path pays one load. The caller must
-      have {e already published} the work the ring advertises. *)
-  let ring t = A.get t.parked > 0
 
   (** The parker's announce → re-check → block → retract sequence, with
       the dock abstracted as callbacks so the checker can run the exact

@@ -16,30 +16,47 @@ let with_pool ?deque ~num_workers ~variant f =
 (* {2 Allocation budget} *)
 
 (* The frame pool exists so that an un-stolen fork/join costs no
-   per-call join-state allocation. [fork_join_unit] of two constant
-   closures must stay within a small fixed budget of minor words per
-   call — comfortably under the ~30 words/call of the pre-frame
-   implementation (atomic flag + outcome refs + per-call task closure),
-   but with headroom over the ideal 0 so the test doesn't chase compiler
-   versions. *)
+   per-call join-state allocation, and the frame stores the child closure
+   itself, so no per-call wrapper closure either. What remains per call
+   is the owner pop's [Some] (2 words) and, for [fork_join], the result
+   pair (3 words): 2 and 5 minor words. The budgets (4 and 7) leave a
+   little headroom over those so the test does not chase compiler
+   versions, but stay below what a per-call closure (4 words for the old
+   boxing wrapper) added back would cost. Every variant is measured: the
+   fast path differs per variant in its pop and poll. *)
 let noop () = ()
 
-let test_unstolen_alloc_budget () =
-  with_pool ~num_workers:1 ~variant:S.Signal (fun pool ->
+let one () = 1
+
+let minor_words_per_call ~variant call =
+  with_pool ~num_workers:1 ~variant (fun pool ->
       S.Pool.run pool (fun () ->
           (* Warm up: fault in the frame pool and any lazy setup. *)
           for _ = 1 to 1_000 do
-            S.Ops.fork_join_unit noop noop
+            call ()
           done;
           let calls = 10_000 in
           let before = Gc.minor_words () in
           for _ = 1 to calls do
-            S.Ops.fork_join_unit noop noop
+            call ()
           done;
-          let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
-          if per_call > 16.0 then
-            Alcotest.failf "un-stolen fork_join_unit allocates %.1f minor words/call (budget 16)"
-              per_call))
+          (Gc.minor_words () -. before) /. float_of_int calls))
+
+let check_alloc_budget ~name ~budget call =
+  List.iter
+    (fun variant ->
+      let per_call = minor_words_per_call ~variant call in
+      if per_call > budget then
+        Alcotest.failf "%s: un-stolen %s allocates %.1f minor words/call (budget %.0f)"
+          (S.variant_name variant) name per_call budget)
+    S.all_variants
+
+let test_unstolen_alloc_budget () =
+  check_alloc_budget ~name:"fork_join_unit" ~budget:4.0 (fun () -> S.Ops.fork_join_unit noop noop)
+
+let test_unstolen_pair_alloc_budget () =
+  check_alloc_budget ~name:"fork_join" ~budget:7.0 (fun () ->
+      ignore (Sys.opaque_identity (S.Ops.fork_join one one)))
 
 (* {2 Lazy splitting: task-creation collapse} *)
 
@@ -188,7 +205,12 @@ let () =
   Alcotest.run "frames"
     [
       ( "alloc",
-        [ Alcotest.test_case "un-stolen fork_join_unit minor words" `Quick test_unstolen_alloc_budget ] );
+        [
+          Alcotest.test_case "un-stolen fork_join_unit minor words" `Quick
+            test_unstolen_alloc_budget;
+          Alcotest.test_case "un-stolen fork_join minor words" `Quick
+            test_unstolen_pair_alloc_budget;
+        ] );
       ( "lazy_for",
         [
           Alcotest.test_case "P=1 loop pushes nothing" `Quick test_p1_loop_pushes_nothing;

@@ -133,6 +133,47 @@ let test_metrics_reset () =
       let m = S.Pool.metrics pool in
       check Alcotest.int "reset" 0 (m.Metrics.pushes + m.Metrics.fences))
 
+(* The between-jobs metrics read waits for helpers to dock, but a helper
+   still running a future the job never awaited cannot dock until the
+   future ends: the read must return anyway (bounded wait), and so must
+   a read made by that future itself, from inside the pool. *)
+let test_metrics_with_straggler () =
+  with_pool ~workers:2 S.Ws (fun pool ->
+      let started = Atomic.make false
+      and job_over = Atomic.make false
+      and release = Atomic.make false
+      and inner = Atomic.make (-1) in
+      S.Pool.run pool (fun () ->
+          ignore
+            (S.Future.spawn (fun () ->
+                 Atomic.set started true;
+                 while not (Atomic.get job_over) do
+                   Domain.cpu_relax ()
+                 done;
+                 Atomic.set inner (S.Pool.metrics pool).Metrics.tasks_run;
+                 while not (Atomic.get release) do
+                   Domain.cpu_relax ()
+                 done));
+          (* Hold the job open until a helper has taken the future. *)
+          while not (Atomic.get started) do
+            S.Ops.tick ();
+            Domain.cpu_relax ()
+          done);
+      let t0 = Unix.gettimeofday () in
+      let m = S.Pool.metrics pool in
+      let waited = Unix.gettimeofday () -. t0 in
+      Atomic.set job_over true;
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      while Atomic.get inner < 0 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 1e-3
+      done;
+      Atomic.set release true;
+      Alcotest.(check bool) "the root's task was counted" true (m.Metrics.tasks_run > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "read next to a running straggler returned (%.2fs)" waited)
+        true (waited < 30.0);
+      Alcotest.(check bool) "the straggler's own read returned" true (Atomic.get inner >= 0))
+
 let test_shutdown_idempotent () =
   let pool = S.Pool.create ~num_workers:2 ~variant:S.Signal () in
   ignore (S.Pool.run pool (fun () -> fib 10));
@@ -416,6 +457,7 @@ let () =
           Alcotest.test_case "LCWS fence-light" `Quick test_counters_lcws_fence_light;
           Alcotest.test_case "exposure happens" `Quick test_exposure_happens;
           Alcotest.test_case "metrics reset" `Quick test_metrics_reset;
+          Alcotest.test_case "metrics next to a straggler" `Quick test_metrics_with_straggler;
         ] );
       ( "lifecycle",
         [
